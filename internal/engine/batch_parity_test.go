@@ -5,14 +5,19 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/planner"
+	"repro/internal/sqlparser"
 )
 
-// TestBatchTupleParity is the vectorization contract: the batch pipeline
-// must be observably indistinguishable from the tuple pipeline — identical
-// rows AND identical work accounting (IOCounter, operator evals, tuples
-// processed), because those counters are the cost model's training signal.
-// Every experiment query shape goes through both paths on twin databases.
-func TestBatchTupleParity(t *testing.T) {
+// TestBatchInterpreterParity is the compilation contract: the compiled
+// predicate path (page batches for seq scans, per-tuple boolPred for index
+// residuals) must be observably indistinguishable from the interpreter —
+// identical rows AND identical work accounting (IOCounter, operator evals,
+// tuples processed), because those counters are the cost model's training
+// signal. Every experiment query shape runs on twin databases, one of which
+// never compiles a predicate.
+func TestBatchInterpreterParity(t *testing.T) {
 	queries := []string{
 		// seq scan, no filter
 		"SELECT id, a, b, s FROM l",
@@ -48,6 +53,27 @@ func TestBatchTupleParity(t *testing.T) {
 		"DELETE FROM l WHERE a = 5 AND b > 20",
 		"DELETE FROM l WHERE id = 9001",
 	}
+	// Index-scan residuals, run on the indexed twin only: compiled on reads
+	// and on UPDATE/DELETE targets (accepting and rejecting the probed
+	// tuple), one the interpreter must evaluate (a function call), and one
+	// under an index nested-loop join that references the outer binding.
+	// On this table size the planner probes an index only for point
+	// lookups; each statement is checked to plan with a residual.
+	residuals := []struct {
+		sql      string
+		compiles bool
+	}{
+		{"SELECT id, b FROM l WHERE id = 3 AND s LIKE 't%'", true},
+		{"SELECT id, b FROM l WHERE id = 4 AND s LIKE 'x%'", true},
+		{"SELECT id FROM l WHERE a = 3 AND b = 4 AND s LIKE 't%'", true},
+		{"UPDATE l SET b = 98 WHERE id = 150 AND s LIKE 't%'", true},
+		{"UPDATE l SET b = 97 WHERE id = 151 AND s LIKE 'x%'", true},
+		{"DELETE FROM l WHERE id = 311 AND s LIKE 't%'", true},
+		{"DELETE FROM l WHERE id = 312 AND s LIKE 'x%'", true},
+		{"SELECT id, b FROM l WHERE id = 150 AND b = 98", true},
+		{"SELECT id FROM l WHERE id = 33 AND ABS(b - 12) > 5", false},
+		{"SELECT r.id, l.id FROM r JOIN l ON l.id = r.la AND l.b < r.v WHERE r.id = 7", false},
+	}
 
 	for _, indexed := range []bool{false, true} {
 		name := "heap-only"
@@ -56,8 +82,8 @@ func TestBatchTupleParity(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			batch := buildRandomDB(t, 3)
-			tuple := buildRandomDB(t, 3)
-			tuple.batchExec = false
+			interp := buildRandomDB(t, 3)
+			interp.interpretOnly = true
 			if indexed {
 				for _, ddl := range []string{
 					"CREATE INDEX p_a ON l (a)",
@@ -65,7 +91,7 @@ func TestBatchTupleParity(t *testing.T) {
 					"CREATE INDEX p_la ON r (la)",
 				} {
 					mustExec(t, batch, ddl)
-					mustExec(t, tuple, ddl)
+					mustExec(t, interp, ddl)
 				}
 			}
 			// Interleave reads and writes so the write-target scan path is
@@ -76,50 +102,118 @@ func TestBatchTupleParity(t *testing.T) {
 				script = append(script, w)
 				script = append(script, queries[i%len(queries)])
 			}
+			if indexed {
+				for _, res := range residuals {
+					requireResidualScan(t, batch, res.sql, res.compiles)
+					script = append(script, res.sql)
+				}
+			}
 			for _, sql := range script {
 				rb, err1 := batch.Exec(sql)
-				rt, err2 := tuple.Exec(sql)
+				ri, err2 := interp.Exec(sql)
 				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("%q: batch err=%v, tuple err=%v", sql, err1, err2)
+					t.Fatalf("%q: batch err=%v, interpreter err=%v", sql, err1, err2)
 				}
 				if err1 != nil {
 					continue
 				}
-				if !reflect.DeepEqual(rb.Rows, rt.Rows) {
-					t.Fatalf("%q: rows diverge\nbatch: %v\ntuple: %v", sql, rb.Rows, rt.Rows)
+				if !reflect.DeepEqual(rb.Rows, ri.Rows) {
+					t.Fatalf("%q: rows diverge\nbatch:       %v\ninterpreter: %v", sql, rb.Rows, ri.Rows)
 				}
-				if rb.Stats != rt.Stats {
-					t.Fatalf("%q: stats diverge\nbatch: %+v\ntuple: %+v", sql, rb.Stats, rt.Stats)
+				if rb.Stats != ri.Stats {
+					t.Fatalf("%q: stats diverge\nbatch:       %+v\ninterpreter: %+v", sql, rb.Stats, ri.Stats)
 				}
 			}
 		})
 	}
 }
 
-// TestBatchTupleParityRandomized widens the contract over generated
+// requireResidualScan fails unless sql's scan of l is an index scan with a
+// residual that compiles exactly when compiles is set: a read's (under an
+// index nested-loop join, the inner scan's), or an UPDATE/DELETE target's.
+func requireResidualScan(t *testing.T, db *DB, sql string, compiles bool) {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scan planner.Node
+	switch s := stmt.(type) {
+	case *sqlparser.UpdateStmt:
+		scan, err = db.targetScan(s.Table, s.Where)
+	case *sqlparser.DeleteStmt:
+		scan, err = db.targetScan(s.Table, s.Where)
+	case *sqlparser.SelectStmt:
+		var plan *planner.SelectPlan
+		if plan, err = planner.PlanSelect(db.cat, s); err == nil {
+			scan = findIndexScan(plan.Root, "l")
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	is, ok := scan.(*planner.IndexScanNode)
+	if !ok || is.Residual == nil {
+		t.Fatalf("%q: want an index scan of l with a residual, got %#v", sql, scan)
+	}
+	cols := make(colIndex)
+	cols.addBinding(is.Binding, db.cat.Table(is.Table).ColumnNames())
+	if got := compileBool(is.Residual, is.Binding, cols[is.Binding]) != nil; got != compiles {
+		t.Fatalf("%q: residual compiles=%v, want %v", sql, got, compiles)
+	}
+}
+
+// findIndexScan returns the first index scan of table in n's plan tree, or
+// nil.
+func findIndexScan(n planner.Node, table string) planner.Node {
+	switch v := n.(type) {
+	case *planner.IndexScanNode:
+		if v.Table == table {
+			return v
+		}
+	case *planner.JoinNode:
+		if found := findIndexScan(v.Left, table); found != nil {
+			return found
+		}
+		return findIndexScan(v.Right, table)
+	case *planner.FilterNode:
+		return findIndexScan(v.Input, table)
+	case *planner.ProjectNode:
+		return findIndexScan(v.Input, table)
+	case *planner.LimitNode:
+		return findIndexScan(v.Input, table)
+	case *planner.SortNode:
+		return findIndexScan(v.Input, table)
+	case *planner.AggNode:
+		return findIndexScan(v.Input, table)
+	}
+	return nil
+}
+
+// TestBatchInterpreterParityRandomized widens the contract over generated
 // predicates: same random query stream, twin databases, stats compared
 // statement by statement.
-func TestBatchTupleParityRandomized(t *testing.T) {
+func TestBatchInterpreterParityRandomized(t *testing.T) {
 	for trial := int64(0); trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(trial*977 + 5))
 		batch := buildRandomDB(t, trial)
-		tuple := buildRandomDB(t, trial)
-		tuple.batchExec = false
+		interp := buildRandomDB(t, trial)
+		interp.interpretOnly = true
 		for _, sql := range randomQueries(rng, 60) {
 			rb, err1 := batch.Exec(sql)
-			rt, err2 := tuple.Exec(sql)
+			ri, err2 := interp.Exec(sql)
 			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("trial %d %q: batch err=%v, tuple err=%v", trial, sql, err1, err2)
+				t.Fatalf("trial %d %q: batch err=%v, interpreter err=%v", trial, sql, err1, err2)
 			}
 			if err1 != nil {
 				continue
 			}
-			if !reflect.DeepEqual(rb.Rows, rt.Rows) {
+			if !reflect.DeepEqual(rb.Rows, ri.Rows) {
 				t.Fatalf("trial %d %q: rows diverge", trial, sql)
 			}
-			if rb.Stats != rt.Stats {
-				t.Fatalf("trial %d %q: stats diverge\nbatch: %+v\ntuple: %+v",
-					trial, sql, rb.Stats, rt.Stats)
+			if rb.Stats != ri.Stats {
+				t.Fatalf("trial %d %q: stats diverge\nbatch:       %+v\ninterpreter: %+v",
+					trial, sql, rb.Stats, ri.Stats)
 			}
 		}
 	}

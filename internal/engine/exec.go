@@ -221,91 +221,95 @@ func (db *DB) bindTable(ctx *evalCtx, table, binding string) error {
 }
 
 func (db *DB) runSeqScan(ctx *evalCtx, n *planner.SeqScanNode) ([]row, error) {
-	if err := db.bindTable(ctx, n.Table, n.Binding); err != nil {
-		return nil, err
-	}
-	heap := db.heaps[n.Table]
 	var out []row
-	var scanErr error
-	if db.batchExec {
-		// Vectorized path: one callback per page, compiled filter applied
-		// over the whole batch. Identical rows, IO charges, and ops totals
-		// as the tuple path below (the parity differential test pins this);
-		// n.Filter == nil vectorizes trivially.
-		var pred *batchPred
-		vectorized := n.Filter == nil
-		if n.Filter != nil {
-			pred = compileBatchPred(n.Filter, n.Binding, ctx.cols[n.Binding])
-			vectorized = pred != nil
-		}
-		if vectorized {
-			heap.ScanBatch(&ctx.st.io, func(b *storage.Batch) bool {
-				ctx.st.tuplesProcessed += int64(b.Len())
-				sel := b.Sel
-				if pred != nil {
-					sel = pred.Select(b.Tuples, b.Sel, &ctx.ops)
-				}
-				for _, s := range sel {
-					r := newRow()
-					r.vals[n.Binding] = b.Tuples[s]
-					out = append(out, r)
-				}
-				return true
-			})
-			return out, nil
-		}
-	}
-	if n.Filter != nil {
-		if fast := compileExpr(n.Filter, n.Binding, ctx.cols[n.Binding]); fast != nil {
-			// Compiled path: filter before allocating the row map, so
-			// rejected tuples cost zero allocations.
-			heap.Scan(&ctx.st.io, func(rid btree.RID, tup sqltypes.Tuple) bool {
-				ctx.st.tuplesProcessed++
-				ok, err := fast(tup, &ctx.ops)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				if !truthy(ok) {
-					return true
-				}
-				r := newRow()
-				r.vals[n.Binding] = tup
-				out = append(out, r)
-				return true
-			})
-			return out, scanErr
-		}
-	}
-	heap.Scan(&ctx.st.io, func(rid btree.RID, tup sqltypes.Tuple) bool {
-		ctx.st.tuplesProcessed++
+	err := db.seqScan(ctx, n, func(_ btree.RID, tup sqltypes.Tuple) {
 		r := newRow()
 		r.vals[n.Binding] = tup
-		if n.Filter != nil {
-			ok, err := ctx.evalExpr(n.Filter, r)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !truthy(ok) {
-				return true
-			}
-		}
 		out = append(out, r)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// seqScan scans n's heap and calls emit for every tuple that passes
+// n.Filter. A compiled filter runs a page batch at a time; a filter that
+// does not compile falls back to the interpreter, tuple by tuple. Both
+// charge identical IO and ops.
+func (db *DB) seqScan(ctx *evalCtx, n *planner.SeqScanNode, emit func(btree.RID, sqltypes.Tuple)) error {
+	if err := db.bindTable(ctx, n.Table, n.Binding); err != nil {
+		return err
+	}
+	heap := db.heaps[n.Table]
+	var pred *batchPred
+	if n.Filter != nil && !db.interpretOnly {
+		pred = compileBatchPred(n.Filter, n.Binding, ctx.cols[n.Binding])
+	}
+	if n.Filter == nil || pred != nil {
+		heap.ScanBatch(&ctx.st.io, func(b *storage.Batch) bool {
+			ctx.st.tuplesProcessed += int64(b.Len())
+			sel := b.Sel
+			if pred != nil {
+				sel = pred.Select(b.Tuples, b.Sel, &ctx.ops)
+			}
+			for _, s := range sel {
+				emit(b.RID(s), b.Tuples[s])
+			}
+			return true
+		})
+		return nil
+	}
+	var scanErr error
+	scratch := newRow()
+	heap.Scan(&ctx.st.io, func(rid btree.RID, tup sqltypes.Tuple) bool {
+		ctx.st.tuplesProcessed++
+		scratch.vals[n.Binding] = tup
+		ok, err := ctx.evalExpr(n.Filter, scratch)
+		if err != nil {
+			scanErr = err
+			return false
+		}
+		if truthy(ok) {
+			emit(rid, tup)
+		}
 		return true
 	})
-	return out, scanErr
+	return scanErr
 }
 
 // runIndexScan probes the index. outer, when non-nil, provides the bindings
 // referenced by parameterized bounds (index nested-loop joins).
 func (db *DB) runIndexScan(ctx *evalCtx, n *planner.IndexScanNode, outer *row) ([]row, error) {
-	if err := db.bindTable(ctx, n.Table, n.Binding); err != nil {
+	var out []row
+	err := db.indexProbe(ctx, n, outer, func(_ btree.RID, tup sqltypes.Tuple) {
+		var r row
+		if outer != nil {
+			r = outer.clone()
+		} else {
+			r = newRow()
+		}
+		r.vals[n.Binding] = tup
+		out = append(out, r)
+	})
+	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// indexProbe walks n's key windows, fetches each entry's heap tuple and
+// calls emit for every live tuple that passes n.Residual. outer is as for
+// runIndexScan. A standalone probe's residual is compiled; under an index
+// nested-loop join it may reference the outer binding, so the interpreter
+// evaluates it.
+func (db *DB) indexProbe(ctx *evalCtx, n *planner.IndexScanNode, outer *row, emit func(btree.RID, sqltypes.Tuple)) error {
+	if err := db.bindTable(ctx, n.Table, n.Binding); err != nil {
+		return err
 	}
 	trees := db.indexes[n.Index.Name]
 	if len(trees) == 0 {
-		return nil, fmt.Errorf("engine: index %q has no tree (hypothetical index executed?)", n.Index.Name)
+		return fmt.Errorf("engine: index %q has no tree (hypothetical index executed?)", n.Index.Name)
 	}
 	db.bumpIndexUsage(n.Index.Name)
 	if db.metrics != nil {
@@ -319,18 +323,21 @@ func (db *DB) runIndexScan(ctx *evalCtx, n *planner.IndexScanNode, outer *row) (
 	}
 	bounds, eqKey, err := db.buildProbeBounds(ctx, n, env)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	// Compiled residual fast path: only for standalone scans (outer == nil),
-	// where every column reference resolves against this scan's binding.
-	var fast compiledExpr
-	if n.Residual != nil && outer == nil {
-		fast = compileExpr(n.Residual, n.Binding, ctx.cols[n.Binding])
+	var residual boolPred
+	var scratch row
+	if n.Residual != nil {
+		if outer == nil && !db.interpretOnly {
+			residual = compileBool(n.Residual, n.Binding, ctx.cols[n.Binding])
+		}
+		if residual == nil {
+			scratch = env.clone()
+		}
 	}
 
 	probe := db.probeTrees(n.Index, eqKey, trees)
-	var out []row
 	var scanErr error
 	for _, pb := range bounds {
 		for _, tree := range probe {
@@ -342,24 +349,14 @@ func (db *DB) runIndexScan(ctx *evalCtx, n *planner.IndexScanNode, outer *row) (
 					return true // tombstoned heap tuple with stale index entry
 				}
 				ctx.st.tuplesProcessed++
-				if fast != nil {
-					ok, err := fast(tup, &ctx.ops)
-					if err != nil {
-						scanErr = err
-						return false
-					}
-					if !truthy(ok) {
+				switch {
+				case residual != nil:
+					if !residual(tup, &ctx.ops) {
 						return true
 					}
-					r := env.clone()
-					r.vals[n.Binding] = tup
-					out = append(out, r)
-					return true
-				}
-				r := env.clone()
-				r.vals[n.Binding] = tup
-				if n.Residual != nil {
-					ok, err := ctx.evalExpr(n.Residual, r)
+				case n.Residual != nil:
+					scratch.vals[n.Binding] = tup
+					ok, err := ctx.evalExpr(n.Residual, scratch)
 					if err != nil {
 						scanErr = err
 						return false
@@ -368,16 +365,16 @@ func (db *DB) runIndexScan(ctx *evalCtx, n *planner.IndexScanNode, outer *row) (
 						return true
 					}
 				}
-				out = append(out, r)
+				emit(e.RID, tup)
 				return true
 			})
 			ctx.st.io.IndexPagesRead += pages
 			if scanErr != nil {
-				return nil, scanErr
+				return scanErr
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // probeBound is one (lo, hi) key window an index scan visits.

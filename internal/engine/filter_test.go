@@ -74,8 +74,8 @@ func seqScanFilter(t *testing.T, db *DB, sql string) (sqlparser.Expr, string) {
 }
 
 // TestCompiledFilterMatchesInterpreter is the equivalence contract of the
-// compiled fast path: for every predicate shape, value AND ops accounting
-// are bit-identical to the tree-walking interpreter on every tuple.
+// compiled predicate: for every predicate shape, truthiness AND ops
+// accounting are identical to the tree-walking interpreter on every tuple.
 func TestCompiledFilterMatchesInterpreter(t *testing.T) {
 	db := filterDB(t)
 	preds := []string{
@@ -110,53 +110,91 @@ func TestCompiledFilterMatchesInterpreter(t *testing.T) {
 		"b + 1 = 2 AND NOT s LIKE 'row9%'",
 	}
 	for _, pred := range preds {
-		sql := "SELECT * FROM ft WHERE " + pred
-		filter, binding := seqScanFilter(t, db, sql)
-		ctx := &evalCtx{db: db, cols: make(colIndex)}
-		if err := db.bindTable(ctx, "ft", binding); err != nil {
-			t.Fatal(err)
-		}
-		fast := compileExpr(filter, binding, ctx.cols[binding])
-		if fast == nil {
+		filter, binding := seqScanFilter(t, db, "SELECT * FROM ft WHERE "+pred)
+		cols := ftCols(t, db, binding)
+		f := compileBool(filter, binding, cols[binding])
+		if f == nil {
 			t.Errorf("%s: predicate did not compile", pred)
 			continue
 		}
 		t.Run(pred, func(t *testing.T) {
-			checkPredOnAllTuples(t, db, filter, binding, ctx, fast)
+			checkOnAllTuples(t, db, filter, binding, cols, false, boxBool(f))
 		})
 	}
 }
 
-func checkPredOnAllTuples(t *testing.T, db *DB, filter sqlparser.Expr, binding string, ctx *evalCtx, fast compiledExpr) {
+// TestCompiledValueMatchesInterpreter covers the value compiler's leaves —
+// literals, columns, arithmetic, and a boolean node in value position — in
+// both contexts: compileValue must reproduce the interpreter's exact value
+// (float bits included) and compileBool its truthiness, each with the same
+// ops count.
+func TestCompiledValueMatchesInterpreter(t *testing.T) {
+	db := filterDB(t)
+	for _, expr := range []string{
+		"a + b",
+		"a - b * 2",
+		"f * 2.0 - a",
+		"a / 7",
+		"b / 0",
+		"b - b",
+		"(a = 3) + b",
+		"(b IN (1, 2)) * (f BETWEEN 1.0 AND 3.0)",
+	} {
+		e, binding := seqScanFilter(t, db, "SELECT * FROM ft WHERE "+expr)
+		cols := ftCols(t, db, binding)
+		v := compileValue(e, binding, cols[binding])
+		f := compileBool(e, binding, cols[binding])
+		if v == nil || f == nil {
+			t.Errorf("%s: did not compile (value %v, bool %v)", expr, v != nil, f != nil)
+			continue
+		}
+		t.Run(expr, func(t *testing.T) {
+			checkOnAllTuples(t, db, e, binding, cols, true, v)
+			checkOnAllTuples(t, db, e, binding, cols, false, boxBool(f))
+		})
+	}
+}
+
+// ftCols binds ft under binding, as a scan would.
+func ftCols(t *testing.T, db *DB, binding string) colIndex {
+	t.Helper()
+	ctx := &evalCtx{db: db, cols: make(colIndex)}
+	if err := db.bindTable(ctx, "ft", binding); err != nil {
+		t.Fatal(err)
+	}
+	return ctx.cols
+}
+
+// checkOnAllTuples runs compiled and the interpreter over every tuple of ft
+// and requires the same ops count and the same truthiness or, when exact,
+// the same value.
+func checkOnAllTuples(t *testing.T, db *DB, e sqlparser.Expr, binding string, cols colIndex, exact bool, compiled valPred) {
 	t.Helper()
 	checked := 0
 	db.heaps["ft"].Scan(nil, func(_ btree.RID, tup sqltypes.Tuple) bool {
 		r := newRow()
 		r.vals[binding] = tup
-
-		interp := &evalCtx{db: db, cols: ctx.cols}
-		iv, ierr := interp.evalExpr(filter, r)
-
-		var fastOps int64
-		fv, ferr := fast(tup, &fastOps)
-
-		if (ierr == nil) != (ferr == nil) {
-			t.Fatalf("error divergence: interp=%v fast=%v", ierr, ferr)
+		interp := &evalCtx{db: db, cols: cols}
+		iv, err := interp.evalExpr(e, r)
+		if err != nil {
+			t.Fatalf("tuple %v: interpreter error on a compilable expression: %v", tup, err)
 		}
-		if ierr == nil {
-			if truthy(iv) != truthy(fv) {
-				t.Fatalf("tuple %v: interp=%v fast=%v", tup, iv, fv)
+		var ops int64
+		cv := compiled(tup, &ops)
+		switch {
+		case !exact:
+			if truthy(iv) != truthy(cv) {
+				t.Fatalf("tuple %v: interp=%v compiled=%v", tup, iv, cv)
 			}
-			if iv.Kind == sqltypes.KindFloat && fv.Kind == sqltypes.KindFloat {
-				if math.Float64bits(iv.Float) != math.Float64bits(fv.Float) {
-					t.Fatalf("tuple %v: float bits differ: %v vs %v", tup, iv.Float, fv.Float)
-				}
-			} else if iv != fv {
-				t.Fatalf("tuple %v: value differs: %#v vs %#v", tup, iv, fv)
+		case iv.Kind == sqltypes.KindFloat && cv.Kind == sqltypes.KindFloat:
+			if math.Float64bits(iv.Float) != math.Float64bits(cv.Float) {
+				t.Fatalf("tuple %v: float bits differ: %v vs %v", tup, iv.Float, cv.Float)
 			}
+		case iv != cv:
+			t.Fatalf("tuple %v: value differs: %#v vs %#v", tup, iv, cv)
 		}
-		if interp.ops != fastOps {
-			t.Fatalf("tuple %v: ops accounting differs: interp=%d fast=%d", tup, interp.ops, fastOps)
+		if interp.ops != ops {
+			t.Fatalf("tuple %v: ops accounting differs: interp=%d compiled=%d", tup, interp.ops, ops)
 		}
 		checked++
 		return true
@@ -170,11 +208,7 @@ func checkPredOnAllTuples(t *testing.T, db *DB, filter sqlparser.Expr, binding s
 // fall back to the interpreter (nil compile), never miscompile.
 func TestCompileExprRejectsUncompilable(t *testing.T) {
 	db := filterDB(t)
-	ctx := &evalCtx{db: db, cols: make(colIndex)}
-	if err := db.bindTable(ctx, "ft", "ft"); err != nil {
-		t.Fatal(err)
-	}
-	cols := ctx.cols["ft"]
+	cols := ftCols(t, db, "ft")["ft"]
 	for _, sql := range []string{
 		"SELECT * FROM ft WHERE ABS(b) = 1",
 		"SELECT * FROM ft WHERE a = (SELECT MAX(a) FROM ft)",
@@ -187,7 +221,7 @@ func TestCompileExprRejectsUncompilable(t *testing.T) {
 		where := stmt.(*sqlparser.SelectStmt).Where
 		// Qualify bare refs like the planner would.
 		qualify(where, "ft")
-		if compileExpr(where, "ft", cols) != nil {
+		if compileBatchPred(where, "ft", cols) != nil {
 			t.Errorf("%s: must not compile (needs evalCtx)", sql)
 		}
 	}
@@ -195,12 +229,12 @@ func TestCompileExprRejectsUncompilable(t *testing.T) {
 	foreign := &sqlparser.BinaryExpr{Op: sqlparser.OpEQ,
 		L: &sqlparser.ColumnRef{Table: "other", Column: "a"},
 		R: &sqlparser.Literal{Value: sqltypes.NewInt(1)}}
-	if compileExpr(foreign, "ft", cols) != nil {
+	if compileBatchPred(foreign, "ft", cols) != nil {
 		t.Error("foreign-binding ref must not compile")
 	}
 	// Unknown column must not compile (interpreter owns the error).
 	unknown := &sqlparser.ColumnRef{Table: "ft", Column: "nope"}
-	if compileExpr(unknown, "ft", cols) != nil {
+	if compileBatchPred(unknown, "ft", cols) != nil {
 		t.Error("unknown column must not compile")
 	}
 }

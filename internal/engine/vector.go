@@ -8,25 +8,30 @@ import (
 	"repro/internal/storage"
 )
 
-// Batch-at-a-time predicate evaluation over heap-page batches. A batchPred
-// is applied to a whole page per Select call and returns a selection vector
-// of accepted slots. Internally it runs a fused closure per selected tuple:
-// the same short-circuit structure as filter.go's compiledExpr, but with
-// boolean results unboxed and the dominant leaf shapes — <col> cmp
-// <literal>, <col> BETWEEN <lit> AND <lit>, <col> IN (<lit>, ...) —
-// collapsed into single closures with type-specialized comparisons.
+// The engine's one compiled predicate form. A single-binding WHERE clause
+// (or index-scan residual) compiles to a boolPred: column positions are
+// resolved once per scan, boolean results stay unboxed, and the dominant
+// leaf shapes — <col> cmp <literal>, <col> BETWEEN <lit> AND <lit>,
+// <col> IN (<lit>, ...) — collapse into single closures with type-
+// specialized comparisons. A batchPred applies a boolPred to a whole
+// heap-page batch per Select call and returns a selection vector of
+// accepted slots. Predicates that need the evalCtx or another binding
+// (subqueries, functions, outer-row references) do not compile; the
+// interpreter in eval.go evaluates those and is the oracle the compiled
+// form is tested against.
 //
 // The ops-counting contract is load-bearing: engine_operator_evals_total is
-// experiment ground truth, so every fused node advances ops by exactly what
-// the tuple-at-a-time path charges (one increment per node visit, same
-// short-circuit order; a fused col/lit comparison is three nodes, so +3 per
-// tuple). The batch-parity differential test pins this bit-identically.
+// experiment ground truth, so every compiled node advances ops by exactly
+// what the interpreter's evalExpr charges (one increment per node visit,
+// same short-circuit order; a fused col/lit comparison is three nodes, so
+// +3 per tuple). The batch-vs-interpreter differential test pins this
+// bit-identically.
 
 // batchCap is the widest batch Select accepts: one heap page.
 const batchCap = storage.TuplesPerPage
 
 // boolPred evaluates a predicate for one tuple, returning its truth value
-// and advancing ops exactly as compiledExpr would for the same tree.
+// and advancing ops exactly as evalExpr would for the same tree.
 type boolPred func(tup sqltypes.Tuple, ops *int64) bool
 
 // valPred evaluates a sub-expression to a value, same ops contract.
@@ -39,8 +44,8 @@ type batchPred struct {
 }
 
 // compileBatchPred compiles e for batch evaluation against one binding, or
-// returns nil when e needs machinery beyond a single bound tuple (same
-// fallback set as compileExpr: subqueries, functions, other bindings).
+// returns nil when e needs machinery beyond a single bound tuple:
+// subqueries, functions, other bindings or unknown columns.
 func compileBatchPred(e sqlparser.Expr, binding string, cols map[string]int) *batchPred {
 	f := compileBool(e, binding, cols)
 	if f == nil {
@@ -68,8 +73,9 @@ func (p *batchPred) Select(tups []sqltypes.Tuple, sel []int32, ops *int64) []int
 	return res[:k]
 }
 
-// compileBool compiles e in boolean context. Like the tuple path, the final
-// truthiness test of a value-producing root is free: only tree nodes count.
+// compileBool compiles e in boolean context. As in the interpreter, the
+// final truthiness test of a value-producing root is free: only tree nodes
+// count.
 func compileBool(e sqlparser.Expr, binding string, cols map[string]int) boolPred {
 	switch v := e.(type) {
 	case *sqlparser.BinaryExpr:
@@ -120,10 +126,12 @@ func compileBool(e sqlparser.Expr, binding string, cols map[string]int) boolPred
 				rv := r(tup, ops)
 				return cmpBool(op, lv, rv)
 			}
+		case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
+			// Arithmetic in boolean position: evaluate as a value and test
+			// truthiness, which costs no extra node.
+			return boolFromValue(e, binding, cols)
 		}
-		// Arithmetic (or anything else) in boolean position: evaluate as a
-		// value and test truthiness, which costs no extra node.
-		return boolFromValue(e, binding, cols)
+		return nil // unsupported operator: the interpreter keeps its error path
 	case *sqlparser.NotExpr:
 		sub := compileBool(v.E, binding, cols)
 		if sub == nil {
@@ -164,17 +172,68 @@ func boolFromValue(e sqlparser.Expr, binding string, cols map[string]int) boolPr
 	}
 }
 
-// compileValue compiles e in value context by reusing filter.go's
-// compileExpr — its closures never return a non-nil error (every supported
-// leaf is error-free), so the error is dropped here.
+// compileValue compiles e in value context. Literals, placeholders, this
+// binding's columns and arithmetic are value leaves; a boolean node in value
+// position compiles through compileBool and is boxed with boolVal, which
+// costs the same ops as the interpreter's boxed result.
 func compileValue(e sqlparser.Expr, binding string, cols map[string]int) valPred {
-	f := compileExpr(e, binding, cols)
+	switch v := e.(type) {
+	case *sqlparser.Literal:
+		val := v.Value
+		return func(_ sqltypes.Tuple, ops *int64) sqltypes.Value {
+			*ops++
+			return val
+		}
+	case *sqlparser.Placeholder:
+		return func(_ sqltypes.Tuple, ops *int64) sqltypes.Value {
+			*ops++
+			return sqltypes.Null()
+		}
+	case *sqlparser.ColumnRef:
+		pos, ok := colRefPos(v, binding, cols)
+		if !ok {
+			return nil
+		}
+		return func(tup sqltypes.Tuple, ops *int64) sqltypes.Value {
+			*ops++
+			if pos >= len(tup) {
+				return sqltypes.Null()
+			}
+			return tup[pos]
+		}
+	case *sqlparser.BinaryExpr:
+		switch v.Op {
+		case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
+			l := compileValue(v.L, binding, cols)
+			r := compileValue(v.R, binding, cols)
+			if l == nil || r == nil {
+				return nil
+			}
+			op := v.Op
+			return func(tup sqltypes.Tuple, ops *int64) sqltypes.Value {
+				*ops++
+				lv := l(tup, ops)
+				return arith(op, lv, r(tup, ops))
+			}
+		default:
+			return boxBool(compileBool(e, binding, cols))
+		}
+	case *sqlparser.NotExpr, *sqlparser.InExpr, *sqlparser.BetweenExpr, *sqlparser.IsNullExpr:
+		return boxBool(compileBool(e, binding, cols))
+	default:
+		// FuncExpr and SubqueryExpr need the evalCtx (db access, subquery
+		// cache); unknown nodes keep the interpreter's error behavior.
+		return nil
+	}
+}
+
+// boxBool adapts a boolean predicate into value context.
+func boxBool(f boolPred) valPred {
 	if f == nil {
 		return nil
 	}
 	return func(tup sqltypes.Tuple, ops *int64) sqltypes.Value {
-		v, _ := f(tup, ops)
-		return v
+		return boolVal(f(tup, ops))
 	}
 }
 
@@ -197,8 +256,8 @@ func litValue(e sqlparser.Expr) (sqltypes.Value, bool) {
 	return lit.Value, true
 }
 
-// cmpBool mirrors the comparison arm of compileBinary exactly, minus the
-// boolVal boxing.
+// cmpBool mirrors the comparison arm of the interpreter's evalBinary
+// exactly, minus the boolVal boxing.
 func cmpBool(op sqlparser.BinOp, lv, rv sqltypes.Value) bool {
 	switch op {
 	case sqlparser.OpEQ:
@@ -305,7 +364,7 @@ func fusedCmpSlow(op sqlparser.BinOp, tup sqltypes.Tuple, pos int, c sqltypes.Va
 
 func compileBoolIn(v *sqlparser.InExpr, binding string, cols map[string]int) boolPred {
 	// Fused shape: <col> IN (<lit>, ...). Two nodes up front (IN + column)
-	// and one per list item tried, exactly like the tuple path, which stops
+	// and one per list item tried, exactly like the interpreter, which stops
 	// at the first match.
 	if pos, ok := colRefPos(v.E, binding, cols); ok {
 		lits := make([]sqltypes.Value, len(v.List))

@@ -8,7 +8,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
-	"repro/internal/storage"
 )
 
 // execInsert appends tuples and maintains every real index instantly.
@@ -133,9 +132,38 @@ func (db *DB) buildKey(meta *catalog.IndexMeta, t *catalog.Table, tup sqltypes.T
 // targetRows locates the rows an UPDATE/DELETE affects, using the planner's
 // access path (indexes included).
 func (db *DB) targetRows(st *stmtState, table string, where sqlparser.Expr) ([]btree.RID, []sqltypes.Tuple, error) {
+	scan, err := db.targetScan(table, where)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx := &evalCtx{db: db, st: st, cols: make(colIndex)}
+	var rids []btree.RID
+	var tups []sqltypes.Tuple
+	collect := func(rid btree.RID, tup sqltypes.Tuple) {
+		rids = append(rids, rid)
+		tups = append(tups, tup)
+	}
+	switch sc := scan.(type) {
+	case *planner.SeqScanNode:
+		err = db.seqScan(ctx, sc, collect)
+	case *planner.IndexScanNode:
+		err = db.indexProbe(ctx, sc, nil, collect)
+	default:
+		return nil, nil, fmt.Errorf("engine: unexpected write-target scan %T", scan)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	st.operatorEvals += ctx.ops
+	return rids, tups, nil
+}
+
+// targetScan plans SELECT * FROM table WHERE where and returns the scan
+// node beneath its projection.
+func (db *DB) targetScan(table string, where sqlparser.Expr) (planner.Node, error) {
 	t := db.cat.Table(table)
 	if t == nil {
-		return nil, nil, fmt.Errorf("engine: unknown table %q", table)
+		return nil, fmt.Errorf("engine: unknown table %q", table)
 	}
 	sel := &sqlparser.SelectStmt{
 		Select: []sqlparser.SelectItem{{Star: true}},
@@ -145,10 +173,9 @@ func (db *DB) targetRows(st *stmtState, table string, where sqlparser.Expr) ([]b
 	}
 	plan, err := planner.PlanSelect(db.cat, sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// Locate the scan node beneath projection.
-	var scan planner.Node = plan.Root
+	scan := plan.Root
 	for {
 		switch v := scan.(type) {
 		case *planner.ProjectNode:
@@ -158,158 +185,8 @@ func (db *DB) targetRows(st *stmtState, table string, where sqlparser.Expr) ([]b
 			scan = v.Input
 			continue
 		}
-		break
+		return scan, nil
 	}
-
-	ctx := &evalCtx{db: db, st: st, cols: make(colIndex)}
-	var rids []btree.RID
-	var tups []sqltypes.Tuple
-
-	switch sc := scan.(type) {
-	case *planner.SeqScanNode:
-		if err := db.bindTable(ctx, sc.Table, sc.Binding); err != nil {
-			return nil, nil, err
-		}
-		heap := db.heaps[t.Name]
-		if db.batchExec {
-			// Vectorized write-target scan, mirroring runSeqScan's batch
-			// path. The batch's tuples are collected (not copied), which is
-			// all the update/delete loops need.
-			var pred *batchPred
-			vectorized := sc.Filter == nil
-			if sc.Filter != nil {
-				pred = compileBatchPred(sc.Filter, sc.Binding, ctx.cols[sc.Binding])
-				vectorized = pred != nil
-			}
-			if vectorized {
-				heap.ScanBatch(&st.io, func(b *storage.Batch) bool {
-					st.tuplesProcessed += int64(b.Len())
-					sel := b.Sel
-					if pred != nil {
-						sel = pred.Select(b.Tuples, b.Sel, &ctx.ops)
-					}
-					for _, s := range sel {
-						rids = append(rids, b.RID(s))
-						tups = append(tups, b.Tuples[s])
-					}
-					return true
-				})
-				st.operatorEvals += ctx.ops
-				return rids, tups, nil
-			}
-		}
-		var fast compiledExpr
-		if sc.Filter != nil {
-			fast = compileExpr(sc.Filter, sc.Binding, ctx.cols[sc.Binding])
-		}
-		var scanErr error
-		heap.Scan(&st.io, func(rid btree.RID, tup sqltypes.Tuple) bool {
-			st.tuplesProcessed++
-			if fast != nil {
-				ok, err := fast(tup, &ctx.ops)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				if !truthy(ok) {
-					return true
-				}
-				rids = append(rids, rid)
-				tups = append(tups, tup)
-				return true
-			}
-			r := newRow()
-			r.vals[sc.Binding] = tup
-			if sc.Filter != nil {
-				ok, err := ctx.evalExpr(sc.Filter, r)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				if !truthy(ok) {
-					return true
-				}
-			}
-			rids = append(rids, rid)
-			tups = append(tups, tup)
-			return true
-		})
-		if scanErr != nil {
-			return nil, nil, scanErr
-		}
-	case *planner.IndexScanNode:
-		if err := db.bindTable(ctx, sc.Table, sc.Binding); err != nil {
-			return nil, nil, err
-		}
-		trees := db.indexes[sc.Index.Name]
-		if len(trees) == 0 {
-			return nil, nil, fmt.Errorf("engine: index %q has no tree", sc.Index.Name)
-		}
-		db.bumpIndexUsage(sc.Index.Name)
-		if db.metrics != nil {
-			db.metrics.indexProbes.With(sc.Index.Name).Inc()
-		}
-		heap := db.heaps[t.Name]
-		env := newRow()
-		bounds, eqKey, err := db.buildProbeBounds(ctx, sc, env)
-		if err != nil {
-			return nil, nil, err
-		}
-		var fast compiledExpr
-		if sc.Residual != nil {
-			fast = compileExpr(sc.Residual, sc.Binding, ctx.cols[sc.Binding])
-		}
-		var scanErr error
-		for _, pb := range bounds {
-			for _, tree := range db.probeTrees(sc.Index, eqKey, trees) {
-				st.indexDescents += int64(tree.Height())
-				pages := tree.ScanRange(pb.lo, pb.hi, pb.loInc, pb.hiInc, func(e btree.Entry) bool {
-					st.indexTuplesRW++
-					tup := heap.Fetch(e.RID, &st.io)
-					if tup == nil {
-						return true
-					}
-					st.tuplesProcessed++
-					if fast != nil {
-						ok, err := fast(tup, &ctx.ops)
-						if err != nil {
-							scanErr = err
-							return false
-						}
-						if !truthy(ok) {
-							return true
-						}
-						rids = append(rids, e.RID)
-						tups = append(tups, tup)
-						return true
-					}
-					r := newRow()
-					r.vals[sc.Binding] = tup
-					if sc.Residual != nil {
-						ok, err := ctx.evalExpr(sc.Residual, r)
-						if err != nil {
-							scanErr = err
-							return false
-						}
-						if !truthy(ok) {
-							return true
-						}
-					}
-					rids = append(rids, e.RID)
-					tups = append(tups, tup)
-					return true
-				})
-				st.io.IndexPagesRead += pages
-				if scanErr != nil {
-					return nil, nil, scanErr
-				}
-			}
-		}
-	default:
-		return nil, nil, fmt.Errorf("engine: unexpected write-target scan %T", scan)
-	}
-	st.operatorEvals += ctx.ops
-	return rids, tups, nil
 }
 
 // execUpdate rewrites matching tuples; indexes whose key columns changed are

@@ -163,7 +163,8 @@ func (r *Result) Benefit() float64 { return r.BaseCost - r.BestCost }
 // The context bounds the search: cancellation is checked between iterations
 // (and inside the evaluator), and on deadline the best-so-far configuration
 // is returned with Result.Degraded set — never an error — so a tuning round
-// overruns its deadline by at most the iteration in flight. A
+// overruns its deadline by at most the iteration in flight. A context
+// already done before the root evaluation returns ctx.Err(). A
 // never-cancelled context adds zero nondeterminism: every ctx check sees
 // nil and the search is byte-identical to an unbounded one.
 func Search(ctx context.Context, eval Evaluator, existing, candidates []*catalog.IndexMeta, cfg Config) (*Result, error) {
@@ -183,6 +184,12 @@ func Search(ctx context.Context, eval Evaluator, existing, candidates []*catalog
 		indexes: append([]*catalog.IndexMeta{}, existing...),
 		size:    totalSize(existing),
 		ownCost: math.NaN(),
+	}
+	// Checked here rather than left to the evaluator, which may finish the
+	// root evaluation before it sees the cancellation: a search cancelled
+	// before it has a base cost has no result to degrade to.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	baseCost, err := s.cost(root.indexes)
 	if err != nil {
